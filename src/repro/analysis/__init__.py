@@ -34,7 +34,6 @@ from repro.analysis.engine import (
     analyze_contract_source,
     analyze_file,
     analyze_paths,
-    collect_module,
     extract_embedded_contracts,
     parse_suppressions,
 )
@@ -58,6 +57,7 @@ from repro.analysis.registry import (
 )
 from repro.analysis.verify import verify_contract
 from repro.common.errors import ContractVerificationError
+from repro.contracts.vm import collect_module
 
 __all__ = [
     "AnalysisResult",

@@ -6,10 +6,15 @@ on-chain registration.  Every rule protects the consensus-critical
 property the paper relies on: the identical contract code must execute
 identically (and boundedly) on every node.
 
+MED002, MED003 and MED009 are not checked here: the MedScript subset is
+defined once, by :func:`repro.contracts.vm.scan_contract`, and those three
+rules only report its violations by code.  Whatever ``compile_contract``
+would refuse at deploy, the gate refuses first.
+
 Rule catalog:
 
 - MED001 — reference to a nondeterministic / forbidden name
-- MED002 — float (or complex) literal
+- MED002 — float or complex literal, in a function or a top-level constant
 - MED003 — true division ``/`` (yields floats under Python semantics)
 - MED004 — loop with no gas-reachable bound (``while`` on a constant-true
   test with no ``break``/``return`` in the body: guaranteed gas exhaustion)
@@ -19,7 +24,9 @@ Rule catalog:
   VM's pure builtins, nor :data:`repro.contracts.runtime.HOST_FUNCTION_NAMES`
 - MED007 — unreachable statements after ``return`` / ``break`` / ``continue``
 - MED008 — static worst-case gas estimate exceeds the configured ceiling
-- MED009 — syntax the VM forbids (imports, attributes, comprehensions, ...)
+- MED009 — syntax outside the subset (imports, attributes, comprehensions,
+  ``<<``, ``del``, ``**`` unpacking, f-string format specs, non-literal
+  top-level constants, ...)
 - MED010 — read of a name that is never bound
 """
 
@@ -27,8 +34,9 @@ from __future__ import annotations
 
 import ast
 import math
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
+from repro.analysis.engine import assigned_names
 from repro.analysis.findings import Finding, RuleInfo, Severity
 from repro.analysis.gasmodel import GasEstimator, format_gas
 from repro.analysis.registry import (
@@ -37,6 +45,7 @@ from repro.analysis.registry import (
     ContractContext,
     register,
 )
+from repro.contracts.vm import scan_contract
 
 #: Names whose appearance in contract code signals nondeterminism (or an
 #: attempt to reach outside the sandbox).  The VM would raise ``undefined
@@ -77,47 +86,10 @@ FORBIDDEN_NAMES = frozenset(
 
 _TERMINATORS = (ast.Return, ast.Break, ast.Continue)
 
-_DISALLOWED_NODE_LABELS: Dict[type, str] = {
-    ast.Import: "import",
-    ast.ImportFrom: "import",
-    ast.Attribute: "attribute access",
-    ast.Lambda: "lambda",
-    ast.GeneratorExp: "generator expression",
-    ast.ListComp: "list comprehension",
-    ast.SetComp: "set comprehension",
-    ast.DictComp: "dict comprehension",
-    ast.With: "with block",
-    ast.Try: "try block",
-    ast.Raise: "raise",
-    ast.Global: "global declaration",
-    ast.Nonlocal: "nonlocal declaration",
-    ast.ClassDef: "class definition",
-    ast.AsyncFunctionDef: "async function",
-    ast.Await: "await",
-    ast.Yield: "yield",
-    ast.YieldFrom: "yield from",
-    ast.Starred: "starred expression",
-    ast.NamedExpr: "walrus assignment",
-    ast.Set: "set literal",
-}
-
-
 def _bound_names(func: ast.FunctionDef) -> Set[str]:
     """Every name the function can bind: params plus assignment targets."""
     bound: Set[str] = {arg.arg for arg in func.args.args}
-    for node in ast.walk(func):
-        targets: List[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, ast.AugAssign):
-            targets = [node.target]
-        elif isinstance(node, ast.For):
-            targets = [node.target]
-        for target in targets:
-            for sub in ast.walk(target):
-                if isinstance(sub, ast.Name):
-                    bound.add(sub.id)
-    return bound
+    return bound.union(*map(assigned_names, ast.walk(func)))
 
 
 def _known_names(ctx: ContractContext, func: ast.FunctionDef) -> Set[str]:
@@ -128,13 +100,6 @@ def _known_names(ctx: ContractContext, func: ast.FunctionDef) -> Set[str]:
         | set(ctx.pure_builtins)
         | set(ctx.host_functions)
     )
-
-
-def _walk_functions(
-    ctx: ContractContext,
-) -> Iterable[Tuple[str, ast.FunctionDef]]:
-    for name, func in sorted(ctx.functions.items()):
-        yield name, func
 
 
 @register
@@ -149,7 +114,7 @@ class ForbiddenNameChecker(ContractChecker):
     )
 
     def check(self, ctx: ContractContext) -> Iterable[Finding]:
-        for name, func in _walk_functions(ctx):
+        for name, func in sorted(ctx.functions.items()):
             local = _bound_names(func)
             for node in ast.walk(func):
                 if (
@@ -170,8 +135,25 @@ class ForbiddenNameChecker(ContractChecker):
                     )
 
 
+class _SubsetChecker(ContractChecker):
+    """Reports this rule's code from :func:`repro.contracts.vm.scan_contract`."""
+
+    def check(self, ctx: ContractContext) -> Iterable[Finding]:
+        for violation in scan_contract(ctx.tree):
+            if violation.code == self.rule.code:
+                yield Finding(
+                    code=self.rule.code,
+                    message=violation.message,
+                    severity=self.rule.default_severity,
+                    file=ctx.file,
+                    line=ctx.map_line(getattr(violation.node, "lineno", 1)),
+                    col=getattr(violation.node, "col_offset", 0),
+                    symbol=violation.symbol,
+                )
+
+
 @register
-class FloatLiteralChecker(ContractChecker):
+class FloatLiteralChecker(_SubsetChecker):
     rule = RuleInfo(
         code="MED002",
         name="float-literal",
@@ -181,26 +163,9 @@ class FloatLiteralChecker(ContractChecker):
         "nodes; use milli-unit integers)",
     )
 
-    def check(self, ctx: ContractContext) -> Iterable[Finding]:
-        for name, func in _walk_functions(ctx):
-            for node in ast.walk(func):
-                if isinstance(node, ast.Constant) and isinstance(
-                    node.value, (float, complex)
-                ):
-                    yield Finding(
-                        code=self.rule.code,
-                        message=f"float literal {node.value!r} is forbidden; "
-                        "use scaled integers (e.g. value_milli)",
-                        severity=self.rule.default_severity,
-                        file=ctx.file,
-                        line=ctx.map_line(node.lineno),
-                        col=node.col_offset,
-                        symbol=name,
-                    )
-
 
 @register
-class TrueDivisionChecker(ContractChecker):
+class TrueDivisionChecker(_SubsetChecker):
     rule = RuleInfo(
         code="MED003",
         name="true-division",
@@ -208,24 +173,6 @@ class TrueDivisionChecker(ContractChecker):
         default_severity=Severity.ERROR,
         summary="true division `/` yields floats; use `//`",
     )
-
-    def check(self, ctx: ContractContext) -> Iterable[Finding]:
-        for name, func in _walk_functions(ctx):
-            for node in ast.walk(func):
-                op = None
-                if isinstance(node, (ast.BinOp, ast.AugAssign)):
-                    op = node.op
-                if isinstance(op, ast.Div):
-                    yield Finding(
-                        code=self.rule.code,
-                        message="true division `/` is forbidden "
-                        "(float result); use floor division `//`",
-                        severity=self.rule.default_severity,
-                        file=ctx.file,
-                        line=ctx.map_line(node.lineno),
-                        col=node.col_offset,
-                        symbol=name,
-                    )
 
 
 def _has_escape(body: List[ast.stmt]) -> bool:
@@ -255,7 +202,7 @@ class UnboundedLoopChecker(ContractChecker):
     )
 
     def check(self, ctx: ContractContext) -> Iterable[Finding]:
-        for name, func in _walk_functions(ctx):
+        for name, func in sorted(ctx.functions.items()):
             for node in ast.walk(func):
                 if (
                     isinstance(node, ast.While)
@@ -287,11 +234,12 @@ class StorageAliasChecker(ContractChecker):
     )
 
     def check(self, ctx: ContractContext) -> Iterable[Finding]:
-        for name, func in _walk_functions(ctx):
+        for name, func in sorted(ctx.functions.items()):
             written: Dict[str, int] = {}  # value name -> first write line
             for node in self._statements_in_order(func):
-                rebound = self._rebound_names(node)
-                for rebound_name in rebound:
+                # MedScript AugAssign re-evaluates `a <op> b` and rebinds:
+                # it produces a fresh object, so it clears the alias too.
+                for rebound_name in assigned_names(node):
                     written.pop(rebound_name, None)
                 for call in self._storage_set_calls(node):
                     if len(call.args) < 2:
@@ -333,24 +281,6 @@ class StorageAliasChecker(ContractChecker):
         return out
 
     @staticmethod
-    def _rebound_names(stmt: ast.stmt) -> Set[str]:
-        targets: List[ast.expr] = []
-        if isinstance(stmt, ast.Assign):
-            targets = list(stmt.targets)
-        elif isinstance(stmt, ast.AugAssign):
-            # MedScript AugAssign re-evaluates `a <op> b` and rebinds: it
-            # produces a fresh object, so it clears the alias.
-            targets = [stmt.target]
-        elif isinstance(stmt, ast.For):
-            targets = [stmt.target]
-        names: Set[str] = set()
-        for target in targets:
-            for sub in ast.walk(target):
-                if isinstance(sub, ast.Name):
-                    names.add(sub.id)
-        return names
-
-    @staticmethod
     def _storage_set_calls(stmt: ast.stmt) -> List[ast.Call]:
         calls = []
         # Only look at this statement's own expression, not nested blocks
@@ -385,7 +315,7 @@ class UnknownHostFunctionChecker(ContractChecker):
     )
 
     def check(self, ctx: ContractContext) -> Iterable[Finding]:
-        for name, func in _walk_functions(ctx):
+        for name, func in sorted(ctx.functions.items()):
             known = _known_names(ctx, func)
             for node in ast.walk(func):
                 if (
@@ -417,7 +347,7 @@ class UnreachableCodeChecker(ContractChecker):
     )
 
     def check(self, ctx: ContractContext) -> Iterable[Finding]:
-        for name, func in _walk_functions(ctx):
+        for name, func in sorted(ctx.functions.items()):
             yield from self._check_block(ctx, name, func.body)
 
     def _check_block(
@@ -482,7 +412,7 @@ class GasCeilingChecker(ContractChecker):
 
 
 @register
-class DisallowedSyntaxChecker(ContractChecker):
+class DisallowedSyntaxChecker(_SubsetChecker):
     rule = RuleInfo(
         code="MED009",
         name="disallowed-syntax",
@@ -491,50 +421,6 @@ class DisallowedSyntaxChecker(ContractChecker):
         summary="syntax outside the MedScript subset (imports, attribute "
         "access, comprehensions, try/except, ...)",
     )
-
-    def check(self, ctx: ContractContext) -> Iterable[Finding]:
-        for node in ctx.tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.Assign)):
-                continue
-            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
-                continue  # module docstring
-            yield self._finding(
-                ctx, node, "", f"disallowed top-level statement "
-                f"({self._label(node)})"
-            )
-        for name, func in _walk_functions(ctx):
-            if func.args.vararg or func.args.kwarg or func.args.kwonlyargs:
-                yield self._finding(
-                    ctx, func, name,
-                    "only plain positional parameters are allowed",
-                )
-            for node in ast.walk(func):
-                if isinstance(node, tuple(_DISALLOWED_NODE_LABELS)):
-                    yield self._finding(
-                        ctx, node, name,
-                        f"disallowed syntax: {self._label(node)}",
-                    )
-                elif isinstance(node, ast.FunctionDef) and node is not func:
-                    yield self._finding(
-                        ctx, node, name, "nested functions are not allowed"
-                    )
-
-    @staticmethod
-    def _label(node: ast.AST) -> str:
-        return _DISALLOWED_NODE_LABELS.get(type(node), type(node).__name__)
-
-    def _finding(
-        self, ctx: ContractContext, node: ast.AST, symbol: str, message: str
-    ) -> Finding:
-        return Finding(
-            code=self.rule.code,
-            message=message,
-            severity=self.rule.default_severity,
-            file=ctx.file,
-            line=ctx.map_line(getattr(node, "lineno", 1)),
-            col=getattr(node, "col_offset", 0),
-            symbol=symbol,
-        )
 
 
 @register
@@ -549,7 +435,7 @@ class UndefinedNameChecker(ContractChecker):
     )
 
     def check(self, ctx: ContractContext) -> Iterable[Finding]:
-        for name, func in _walk_functions(ctx):
+        for name, func in sorted(ctx.functions.items()):
             known = _known_names(ctx, func)
             call_targets = {
                 node.func

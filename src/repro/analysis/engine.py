@@ -31,7 +31,7 @@ from repro.analysis.registry import (
     repo_checkers,
 )
 from repro.contracts.runtime import HOST_FUNCTION_NAMES
-from repro.contracts.vm import _PURE_BUILTINS
+from repro.contracts.vm import _PURE_BUILTINS, collect_module
 
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa(?:\[(?P<codes>[A-Z0-9,\s]+)\])?", re.IGNORECASE
@@ -80,24 +80,20 @@ def apply_suppressions(
     return kept
 
 
-def collect_module(
-    tree: ast.Module,
-) -> Tuple[Dict[str, ast.FunctionDef], Dict[str, ast.expr]]:
-    """Top-level functions and single-name constant assignments of a module.
-
-    The shared front half of every contract-source consumer: the MED-rule
-    engine below and the read/write-set deriver (``repro.analysis.rwsets``)
-    both build on this instead of growing second parsers.
-    """
-    functions: Dict[str, ast.FunctionDef] = {}
-    constants: Dict[str, ast.expr] = {}
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            functions[node.name] = node
-        elif isinstance(node, ast.Assign):
-            if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
-                constants[node.targets[0].id] = node.value
-    return functions, constants
+def assigned_names(node: ast.AST) -> Set[str]:
+    """Names one assignment, augmented assignment, ``for`` or walrus binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.For, ast.NamedExpr)):
+        targets = [node.target]
+    else:
+        return set()
+    return {
+        sub.id
+        for target in targets
+        for sub in ast.walk(target)
+        if isinstance(sub, ast.Name)
+    }
 
 
 def analyze_contract_source(

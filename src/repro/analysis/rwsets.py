@@ -3,11 +3,12 @@
 The optimistic parallel block scheduler (``repro.chain.scheduler``) needs to
 know, *before executing anything*, which storage slots a contract call may
 touch.  This module derives that from the deployed source with the same AST
-machinery the MED-rule checkers use (one parse, :func:`collect_module` from
-the analysis engine — never a second parser), producing per-method
-:class:`MethodRWSet` summaries whose slots are :class:`SlotTemplate`\\ s:
-sequences of literal fragments and method-parameter placeholders that the
-scheduler specializes with a transaction's actual arguments.
+machinery the VM and the MED-rule checkers use (one parse,
+:func:`repro.contracts.vm.collect_module` — never a second parser),
+producing per-method :class:`MethodRWSet` summaries whose slots are
+:class:`SlotTemplate`\\ s: sequences of literal fragments and
+method-parameter placeholders that the scheduler specializes with a
+transaction's actual arguments.
 
 Soundness stance: for a method that is *not* flagged ``unknown``, the
 resolved templates are an **over-approximation** of every storage slot any
@@ -39,8 +40,9 @@ import ast
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
-from repro.analysis.engine import PURE_BUILTIN_NAMES, collect_module
+from repro.analysis.engine import PURE_BUILTIN_NAMES, assigned_names
 from repro.contracts.runtime import HOST_FUNCTION_NAMES
+from repro.contracts.vm import collect_module
 
 #: Host functions that read a storage slot named by their first argument.
 READING_HOST_CALLS = frozenset({"storage_get", "storage_has"})
@@ -175,22 +177,6 @@ def _literal_value(node: ast.expr) -> Optional[Any]:
     return value if isinstance(value, (str, int, bool)) else None
 
 
-def _rebound_names(func: ast.FunctionDef) -> Set[str]:
-    """Names (re)bound anywhere inside the function body."""
-    bound: Set[str] = set()
-    for node in ast.walk(func):
-        targets: List[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AugAssign, ast.For, ast.NamedExpr)):
-            targets = [node.target]
-        for target in targets:
-            for sub in ast.walk(target):
-                if isinstance(sub, ast.Name):
-                    bound.add(sub.id)
-    return bound
-
-
 class _Deriver:
     """One pass over a parsed contract module."""
 
@@ -278,7 +264,7 @@ class _Deriver:
             acc.unknown = True
             return
         env = dict(env)
-        rebound = _rebound_names(func)
+        rebound = set().union(*map(assigned_names, ast.walk(func)))
         for name in rebound:
             env.pop(name, None)
         # Single top-level assignments from resolvable expressions extend

@@ -18,6 +18,14 @@ mutable state: what remains is small enough to audit and big enough to be
 Turing-complete (bounded by gas), matching the paper's "arbitrary
 computation codes" framing.
 
+The subset is defined once, here: :data:`MEDSCRIPT_NODES` is the positive
+whitelist of node types the interpreter dispatches on, and
+:func:`scan_contract` checks a parsed module against it.  Both consumers
+read the same stream of :class:`Violation`\\ s: :func:`compile_contract`
+raises on the first one, and the MED002/MED003/MED009 rules of
+``repro.analysis`` report all of them, so the deploy gate rejects exactly
+what the VM rejects.
+
 State aliasing: the world state stores values by reference (the
 immutable-value convention of ``repro.chain.state``), so the host bridge
 copies every container crossing the ``storage_get``/``storage_set``
@@ -32,7 +40,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.common.errors import ContractError, OutOfGasError
 from repro.contracts import gas as G
@@ -112,10 +120,14 @@ _PURE_BUILTINS: Dict[str, Callable[..., Any]] = {
 }
 
 
+_INEXACT = (float, complex)
+
+
 def _check_value(value: Any) -> Any:
-    """Reject non-deterministic value types (floats, sets, objects)."""
-    if isinstance(value, float):
-        raise ContractError("floats are forbidden in contracts (non-deterministic)")
+    """Reject non-deterministic value types (floats and complex numbers)."""
+    if isinstance(value, _INEXACT):
+        kind = "floats" if isinstance(value, float) else "complex numbers"
+        raise ContractError(f"{kind} are forbidden in contracts (non-deterministic)")
     return value
 
 
@@ -132,34 +144,171 @@ class ContractSource:
         return sorted(name for name in self.functions if not name.startswith("_"))
 
 
-def compile_contract(source: str) -> ContractSource:
-    """Parse and statically validate a MedScript contract module.
+# -- front end: the MedScript subset, defined once ---------------------------
 
-    Top level may contain only function definitions and constant
-    assignments.  Raises :class:`ContractError` on any disallowed syntax.
+#: Every node type a function may contain: what ``Interpreter._exec_stmt``
+#: and ``Interpreter._eval`` dispatch on, the operators they apply, and the
+#: structural nodes around them.  Anything else is rejected before deploy.
+MEDSCRIPT_NODES = frozenset(
+    {
+        # statements
+        ast.Return, ast.Assign, ast.AugAssign, ast.If, ast.While, ast.For,
+        ast.Expr, ast.Pass, ast.Break, ast.Continue, ast.Assert,
+        # expressions (FormattedValue only occurs inside JoinedStr)
+        ast.Constant, ast.Name, ast.BinOp, ast.UnaryOp, ast.BoolOp,
+        ast.Compare, ast.Call, ast.Subscript, ast.Slice, ast.List, ast.Tuple,
+        ast.Dict, ast.IfExp, ast.JoinedStr, ast.FormattedValue,
+        # operators
+        *_ALLOWED_BINOPS, *_ALLOWED_COMPARE, ast.USub, ast.UAdd, ast.Not,
+        ast.And, ast.Or,
+        # structure
+        ast.arguments, ast.arg, ast.keyword, ast.Load, ast.Store,
+    }
+)
+
+
+class Violation(NamedTuple):
+    """One way a contract module leaves the MedScript subset."""
+
+    node: ast.AST  # nearest node with a source position
+    code: str  # MED002 float/complex, MED003 true division, MED009 the rest
+    message: str
+    symbol: str = ""  # enclosing function; "" at module level
+
+
+def collect_module(
+    tree: ast.Module,
+) -> Tuple[Dict[str, ast.FunctionDef], Dict[str, ast.expr]]:
+    """Top-level functions and single-name constant assignments of a module.
+
+    The shared front half of every contract-source consumer: the VM, the
+    MED-rule engine (``repro.analysis.engine``) and the read/write-set
+    deriver (``repro.analysis.rwsets``) all build on this instead of
+    growing second parsers.
+    """
+    functions: Dict[str, ast.FunctionDef] = {}
+    constants: Dict[str, ast.expr] = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            functions[node.name] = node
+        elif isinstance(node, ast.Assign):
+            if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+                constants[node.targets[0].id] = node.value
+    return functions, constants
+
+
+def scan_contract(module: ast.Module) -> Iterator[Violation]:
+    """Yield every way ``module`` leaves the MedScript subset, in source order.
+
+    Module level: only functions, single-name literal constants and a
+    docstring, with at least one function.  Function level: only
+    :data:`MEDSCRIPT_NODES`, no float/complex literals, no ``/`` or ``/=``,
+    plain parameters with literal defaults, no decorators or nested defs.
+    """
+    has_function = False
+    for node in module.body:
+        if isinstance(node, ast.FunctionDef):
+            has_function = True
+            if node.decorator_list:
+                yield Violation(node, "MED009", "decorators are not allowed", node.name)
+            yield from _scan_tree(node, node.name)
+        elif isinstance(node, ast.Assign):
+            if len(node.targets) != 1 or not isinstance(node.targets[0], ast.Name):
+                yield Violation(
+                    node, "MED009", "top-level assignments must bind a single name"
+                )
+            elif not _is_literal(node.value):
+                yield Violation(node, "MED009", "top-level constants must be literals")
+            else:
+                yield from _scan_tree(node, "")
+        elif not (
+            isinstance(node, ast.Expr)
+            and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str)
+        ):
+            yield Violation(
+                node, "MED009", f"disallowed top-level statement {type(node).__name__}"
+            )
+    if not has_function:
+        yield Violation(module, "MED009", "contract defines no functions")
+
+
+def _scan_tree(root: ast.AST, symbol: str) -> Iterator[Violation]:
+    """Depth-first check of everything below ``root``, in source order.
+
+    A rejected node is reported once, at the nearest positioned node, and
+    its subtree is not searched further.
+    """
+    stack = [(child, root) for child in reversed(list(ast.iter_child_nodes(root)))]
+    while stack:
+        node, anchor = stack.pop()
+        if hasattr(node, "lineno"):
+            anchor = node
+        problem = _node_problem(node)
+        if problem is not None:
+            yield Violation(anchor, problem[0], problem[1], symbol)
+        if type(node) in MEDSCRIPT_NODES:
+            children = list(ast.iter_child_nodes(node))
+            stack.extend((child, anchor) for child in reversed(children))
+
+
+def _node_problem(node: ast.AST) -> Optional[Tuple[str, str]]:
+    kind = type(node)
+    if kind is ast.Div:
+        return "MED003", "true division `/` yields floats; use floor division `//`"
+    if kind is ast.FunctionDef:
+        return "MED009", "nested functions are not allowed"
+    if kind not in MEDSCRIPT_NODES:
+        return "MED009", f"disallowed syntax {kind.__name__}"
+    if kind is ast.Constant and isinstance(node.value, _INEXACT):
+        return "MED002", (
+            f"{type(node.value).__name__} literal {node.value!r} is forbidden; "
+            "use scaled integers (e.g. value_milli)"
+        )
+    if kind is ast.Dict and None in node.keys:
+        return "MED009", "dict unpacking is not allowed"
+    if kind is ast.keyword and node.arg is None:
+        return "MED009", "**kwargs calls are not allowed"
+    if kind is ast.FormattedValue and (
+        node.format_spec is not None or node.conversion != -1
+    ):
+        return "MED009", "f-string format specs and conversions are not allowed"
+    if kind is ast.arguments:
+        if node.posonlyargs or node.vararg or node.kwonlyargs or node.kwarg:
+            return "MED009", "only plain positional parameters are allowed"
+        if not all(map(_is_literal, node.defaults)):
+            return "MED009", "parameter defaults must be literals"
+    return None
+
+
+def _is_literal(node: ast.expr) -> bool:
+    """A value ``ast.literal_eval`` accepts, with no set anywhere in it."""
+    try:
+        ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return False
+    return not any(isinstance(sub, (ast.Set, ast.Call)) for sub in ast.walk(node))
+
+
+def compile_contract(source: str) -> ContractSource:
+    """Parse a MedScript module and check it against the subset.
+
+    Raises :class:`ContractError` on a syntax error or on the first
+    :func:`scan_contract` violation.
     """
     try:
         module = ast.parse(source)
     except SyntaxError as exc:
         raise ContractError(f"contract syntax error: {exc}") from exc
-    compiled = ContractSource(source=source)
-    for node in module.body:
-        if isinstance(node, ast.FunctionDef):
-            _validate_function(node)
-            compiled.functions[node.name] = node
-        elif isinstance(node, ast.Assign):
-            if len(node.targets) != 1 or not isinstance(node.targets[0], ast.Name):
-                raise ContractError("top-level assignments must bind a single name")
-            compiled.constants[node.targets[0].id] = _literal(node.value)
-        elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
-            continue  # docstring
-        else:
-            raise ContractError(
-                f"disallowed top-level statement: {type(node).__name__}"
-            )
-    if not compiled.functions:
-        raise ContractError("contract defines no functions")
-    return compiled
+    for violation in scan_contract(module):
+        prefix = f"{violation.symbol}: " if violation.symbol else ""
+        raise ContractError(prefix + violation.message)
+    functions, constants = collect_module(module)
+    return ContractSource(
+        source=source,
+        functions=functions,
+        constants={name: _literal(node) for name, node in constants.items()},
+    )
 
 
 def _literal(node: ast.AST) -> Any:
@@ -168,48 +317,6 @@ def _literal(node: ast.AST) -> Any:
     except (ValueError, SyntaxError) as exc:
         raise ContractError("top-level constants must be literals") from exc
     return _check_value(value)
-
-
-_DISALLOWED_IN_FUNCTIONS = (
-    ast.Import,
-    ast.ImportFrom,
-    ast.Attribute,
-    ast.Lambda,
-    ast.GeneratorExp,
-    ast.ListComp,
-    ast.SetComp,
-    ast.DictComp,
-    ast.With,
-    ast.Try,
-    ast.Raise,
-    ast.Global,
-    ast.Nonlocal,
-    ast.ClassDef,
-    ast.AsyncFunctionDef,
-    ast.Await,
-    ast.Yield,
-    ast.YieldFrom,
-    ast.Starred,
-    ast.NamedExpr,
-)
-
-
-def _validate_function(func: ast.FunctionDef) -> None:
-    if func.args.vararg or func.args.kwarg or func.args.kwonlyargs:
-        raise ContractError(
-            f"{func.name}: only plain positional parameters are allowed"
-        )
-    for node in ast.walk(func):
-        if isinstance(node, _DISALLOWED_IN_FUNCTIONS):
-            raise ContractError(
-                f"{func.name}: disallowed syntax {type(node).__name__}"
-            )
-        if isinstance(node, ast.FunctionDef) and node is not func:
-            raise ContractError(f"{func.name}: nested functions are not allowed")
-        if isinstance(node, ast.Constant) and isinstance(node.value, float):
-            raise ContractError(f"{func.name}: float literals are forbidden")
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
-            raise ContractError(f"{func.name}: use // (true division yields floats)")
 
 
 class Interpreter:

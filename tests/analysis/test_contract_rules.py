@@ -5,14 +5,23 @@ with exactly its own code (no cross-rule noise), which is the acceptance
 bar for the analyzer: findings precise enough to gate deployments on.
 """
 
+import ast
 import os
 
 import pytest
 
-from repro.analysis import analyze_contract_source, analyze_file, analyze_paths
+from repro.analysis import (
+    analyze_contract_source,
+    analyze_file,
+    analyze_paths,
+    extract_embedded_contracts,
+)
+from repro.analysis.engine import iter_python_files
 from repro.analysis.findings import Severity
 from repro.analysis.registry import all_rules
+from repro.common.errors import ContractError
 from repro.contracts import library
+from repro.contracts.vm import compile_contract
 
 REPO_ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", ".."))
 
@@ -180,3 +189,99 @@ class TestRuleCatalog:
         codes = [rule.code for rule in rules]
         assert codes == sorted(set(codes))
         assert all(code.startswith("MED") for code in codes)
+
+
+#: The rules that report the shared MedScript subset scan.
+SUBSET_CODES = {"MED002", "MED003", "MED009"}
+
+#: name -> (source, rejected).  The VM and the deploy gate must classify
+#: every entry the same way, and the way given here.
+SUBSET_CASES = {
+    # Passed both checks, then failed at runtime on every node.
+    "left-shift": ("def f(n):\n    return n << 2\n", True),
+    "invert": ("def f(n):\n    return ~n\n", True),
+    "matmul": ("def f(n):\n    return n @ n\n", True),
+    "dict-unpack": ("def f(d):\n    return {**d}\n", True),
+    "kwargs-unpack": (
+        "def g(a):\n    return a\ndef f(d):\n    return g(**d)\n",
+        True,
+    ),
+    "del": ("def f(d):\n    del d[1]\n    return d\n", True),
+    # Passed the VM check, caught only by the analyzer.
+    "set-literal": ("def f():\n    return {1, 2}\n", True),
+    "div-assign-cold-branch": (
+        "def f(n):\n    if n > 100:\n        n /= 2\n    return n\n",
+        True,
+    ),
+    "complex-literal": ("def f():\n    return 1j * 2\n", True),
+    # Passed the analyzer, rejected at deploy.
+    "float-constant": ("RATE = 0.5\ndef f():\n    return 1\n", True),
+    "chained-constant": ("A = B = 1\ndef f():\n    return A\n", True),
+    "call-constant": ("A = len([1])\ndef f():\n    return A\n", True),
+    # f-string features the interpreter would silently drop.
+    "fstring-format-spec": ('def f(n):\n    return f"{n:>5}"\n', True),
+    "fstring-conversion": ('def f(n):\n    return f"{n!r}"\n', True),
+    # Compile-time rejections pinned by tests/contracts/test_vm.py.
+    "no-functions": ("X = 1\n", True),
+    "import": ("def f():\n    import os\n    return 1\n", True),
+    "attribute": ("def f(x):\n    return x.append(1)\n", True),
+    "float-literal": ("def f():\n    return 1.5\n", True),
+    "true-division": ("def f():\n    return 4 / 2\n", True),
+    "lambda": ("def f():\n    g = lambda: 1\n    return g()\n", True),
+    "comprehension": ("def f():\n    return [i for i in range(3)]\n", True),
+    "nested-function": (
+        "def f():\n    def g():\n        return 1\n    return g()\n",
+        True,
+    ),
+    "syntax-error": ("def f(:\n", True),
+    # Inside the subset.
+    "plain-fstring": ('def f(name):\n    return f"hi {name}"\n', False),
+    "literal-constants": (
+        "LIMIT = -3\nTABLE = {'a': [1, (2, 'x')], 'b': None}\n"
+        "def f(x=4):\n    return LIMIT + x\n",
+        False,
+    ),
+    "slices-and-unpacking": (
+        "def f(xs):\n    a, b = xs[1:3]\n    xs[0] += a // b\n    return xs\n",
+        False,
+    ),
+}
+
+
+def _embedded_contracts():
+    paths = [os.path.join(REPO_ROOT, top) for top in ("src", "examples", "benchmarks")]
+    out = []
+    for path in iter_python_files(p for p in paths if os.path.exists(p)):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for name, _line, source in extract_embedded_contracts(tree):
+            out.append(pytest.param(source.lstrip("\n"), id=name))
+    return out
+
+
+class TestVmAgreement:
+    """One subset: ``compile_contract`` raises iff the gate reports it."""
+
+    @pytest.mark.parametrize("name", sorted(SUBSET_CASES))
+    def test_vm_and_gate_agree(self, name):
+        source, rejected = SUBSET_CASES[name]
+        try:
+            compile_contract(source)
+            vm_rejects = False
+        except ContractError:
+            vm_rejects = True
+        gate_rejects = any(
+            finding.code in SUBSET_CODES and finding.severity is Severity.ERROR
+            for finding in analyze_contract_source(source, taint=False)
+        )
+        assert vm_rejects == gate_rejects == rejected
+
+    @pytest.mark.parametrize("source", _embedded_contracts())
+    def test_embedded_contracts_inside_subset(self, source):
+        compile_contract(source)
+        findings = analyze_contract_source(source, taint=False)
+        assert not [f.render() for f in findings if f.code in SUBSET_CODES]
+
+    def test_every_library_contract_is_embedded(self):
+        names = {param.id for param in _embedded_contracts()}
+        assert {name for name in dir(library) if name.endswith("_SOURCE")} <= names

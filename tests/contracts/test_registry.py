@@ -59,6 +59,19 @@ class TestVerifyGate:
         assert registry.node.txs == []
         assert registry.records == []
 
+    @pytest.mark.parametrize(
+        "constant",
+        ["RATE = 0.5", "A = B = 1", "A = len([1])"],
+        ids=["float", "chained", "call"],
+    )
+    def test_top_level_constant_the_vm_refuses_is_rejected(self, registry, constant):
+        # The VM refuses these at deploy; the gate must refuse them first
+        # rather than sign a deploy that fails on chain.
+        with pytest.raises(ContractVerificationError):
+            registry.deploy("bad", f"{constant}\ndef f():\n    return 1\n", verify=True)
+        assert registry.node.txs == []
+        assert registry.records == []
+
     def test_unbounded_loop_rejected(self, registry):
         with pytest.raises(ContractVerificationError) as excinfo:
             registry.deploy("spinner", UNBOUNDED_SOURCE, verify=True)

@@ -59,6 +59,17 @@ class TestCompilation:
         with pytest.raises(ContractError):
             compile_contract("def f():\n    def g():\n        return 1\n    return g()\n")
 
+    def test_complex_literal_rejected(self):
+        with pytest.raises(ContractError, match="complex"):
+            compile_contract("def f():\n    return 1j * 2\n")
+
+    @pytest.mark.parametrize("field", ["{n:>5}", "{n!r}"])
+    def test_fstring_format_spec_and_conversion_rejected(self, field):
+        # The interpreter renders every field as str(value): f"{n:>5}"
+        # would give "3" where CPython gives "    3".
+        with pytest.raises(ContractError, match="format specs and conversions"):
+            compile_contract(f'def f(n):\n    return f"{field}"\n')
+
     def test_syntax_error_wrapped(self):
         with pytest.raises(ContractError):
             compile_contract("def f(:\n")
@@ -167,6 +178,14 @@ class TestExecution:
     def test_float_argument_rejected(self):
         with pytest.raises(ContractError):
             run("def f(x):\n    return x\n", "f", {"x": 1.5})
+
+    def test_complex_argument_rejected(self):
+        with pytest.raises(ContractError, match="complex"):
+            run("def f(x):\n    return x\n", "f", {"x": 2j})
+
+    def test_complex_host_result_rejected(self):
+        with pytest.raises(ContractError, match="complex"):
+            run("def f():\n    return magic()\n", "f", hosts={"magic": lambda: 1j})
 
     def test_assert_statement(self):
         with pytest.raises(ContractError):
