@@ -8,8 +8,9 @@ signature, and the signature covers the hash.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.common.errors import ValidationError
 from repro.common.hashing import hash_value
@@ -22,6 +23,39 @@ TX_CALL = "call"
 VALID_TX_KINDS = frozenset({TX_TRANSFER, TX_DEPLOY, TX_CALL})
 
 DEFAULT_GAS_LIMIT = 2_000_000
+
+
+class VerifiedCache:
+    """Bounded, thread-safe map from ``(signing digest, signature)`` to verdict.
+
+    The signing digest covers the sender, the public key and every other
+    field, so the verdict of :meth:`Transaction.verify_signature` is a pure
+    function of the key: a hit can never accept a changed tx or signature,
+    and a cached ``False`` can never reject a different, valid one.  At
+    capacity the oldest entry is evicted (FIFO); an evicted tx is simply
+    verified again.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._verdicts: Dict[Tuple[bytes, bytes], bool] = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._verdicts)
+
+    def get(self, key: Tuple[bytes, bytes]) -> Optional[bool]:
+        return self._verdicts.get(key)
+
+    def put(self, key: Tuple[bytes, bytes], verdict: bool) -> None:
+        with self._lock:
+            if key not in self._verdicts and len(self._verdicts) >= self.capacity:
+                del self._verdicts[next(iter(self._verdicts))]
+            self._verdicts[key] = verdict
+
+
+# One per process: mempool admission fills it, block import then hits it.
+VERIFIED_SIGNATURES = VerifiedCache(capacity=1 << 14)
 
 
 @dataclass(frozen=True)
@@ -100,20 +134,20 @@ class Transaction:
     def verify_signature(self) -> bool:
         """True when signature is valid and matches the sender address.
 
-        Memoized per instance: gossip floods re-validate the same object on
-        every node, and EC verification dominates simulation wall-clock.
-        The cache key includes the signature so a mutated copy re-verifies.
+        Verdicts are cached process-wide (see :data:`VERIFIED_SIGNATURES`),
+        so every copy of a tx — decoded from gossip, from a block, or
+        rebuilt by a test — is EC-verified at most once per process.
         """
-        cached = self.__dict__.get("_verify_memo")
-        if cached is not None and cached[0] == self.signature:
-            return cached[1]
-        result = self._verify_signature_uncached()
-        object.__setattr__(self, "_verify_memo", (self.signature, result))
-        return result
-
-    def _verify_signature_uncached(self) -> bool:
         if not self.public_key or not self.signature:
             return False
+        key = (self.signing_digest(), self.signature)
+        verdict = VERIFIED_SIGNATURES.get(key)
+        if verdict is None:
+            verdict = self._verify_signature_uncached()
+            VERIFIED_SIGNATURES.put(key, verdict)
+        return verdict
+
+    def _verify_signature_uncached(self) -> bool:
         try:
             public = PublicKey(self.public_key)
             signature = Signature.from_bytes(self.signature)

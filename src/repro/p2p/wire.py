@@ -13,7 +13,7 @@ from typing import Any, Dict, Optional
 
 from repro.chain.blocks import Block, BlockHeader
 from repro.chain.transactions import Transaction
-from repro.common.errors import ValidationError
+from repro.common.errors import SerializationError, ValidationError
 from repro.common.serialize import canonical_bytes, decode_hex_fields, to_jsonable
 
 
@@ -28,6 +28,12 @@ def _bytes_field(value: Any, name: str) -> bytes:
     raise ValidationError(f"{name} must be a hex string")
 
 
+def _str_field(value: Any, name: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{name} must be a string")
+    return value
+
+
 def tx_to_wire(tx: Transaction) -> Dict[str, Any]:
     return to_jsonable(tx)
 
@@ -36,10 +42,10 @@ def tx_from_wire(wire: Any) -> Transaction:
     if not isinstance(wire, dict):
         raise ValidationError("wire transaction must be an object")
     try:
-        return Transaction(
-            sender=wire["sender"],
+        tx = Transaction(
+            sender=_str_field(wire["sender"], "sender"),
             nonce=int(wire["nonce"]),
-            kind=wire["kind"],
+            kind=_str_field(wire["kind"], "kind"),
             payload=dict(wire["payload"]),
             gas_limit=int(wire["gas_limit"]),
             max_fee_per_gas=int(wire.get("max_fee_per_gas", 0)),
@@ -48,8 +54,12 @@ def tx_from_wire(wire: Any) -> Transaction:
             public_key=_bytes_field(wire["public_key"], "public_key"),
             signature=_bytes_field(wire["signature"], "signature"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        # Hash now: a payload the digest cannot encode (a float, a non-str
+        # key) must fail here as a ValidationError, not later on tx_id.
+        tx.signing_digest()
+    except (KeyError, TypeError, ValueError, OverflowError, SerializationError) as exc:
         raise ValidationError(f"malformed wire transaction: {exc}") from exc
+    return tx
 
 
 def header_to_wire(header: BlockHeader, block_id: Optional[str] = None) -> Dict[str, Any]:

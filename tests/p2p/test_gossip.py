@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from repro.chain.transactions import make_transfer
-from repro.p2p.gossip import SeenCache
+from repro.p2p.gossip import KIND_TX, SeenCache
+from repro.p2p.wire import tx_to_wire
 
 
 def test_seen_cache_is_a_bounded_lru():
@@ -56,3 +57,11 @@ def test_bodies_are_never_flooded_full_size(p2p_world):
     served = world.metrics.counter_total("p2p_bodies_served")
     assert fetches > 0
     assert served <= fetches  # one body per fetch, never pushed unrequested
+
+
+def test_body_with_float_payload_is_counted_invalid_not_raised(p2p_world):
+    world = p2p_world
+    wire = tx_to_wire(make_transfer(world.alice, "sink", 1, nonce=0))
+    wire["payload"]["amount"] = 1.5
+    world.services["n1"].gossip._deliver(KIND_TX, wire)
+    assert world.metrics.counter_total("p2p_invalid_bodies") == 1

@@ -19,6 +19,7 @@ from repro.p2p.host import P2PHost
 from repro.p2p.node_server import build_world
 from repro.p2p.wire import tx_to_wire
 from repro.rpc.client import ConnectionPool
+from repro.rpc.errors import InvalidTxError
 from repro.rpc.runtime import EventLoopThread
 
 BASE_PORT = 9461
@@ -143,6 +144,13 @@ def test_validators_converge_over_tcp(tcp_net):
     for addr in addrs:
         counters = client.call(addr, "ctl.counters")
         assert counters["p2p_duplicate_bodies"] == 0
+
+
+def test_submit_tx_with_float_payload_is_invalid_tx(tcp_net):
+    wire = tx_to_wire(make_transfer(tcp_net["alice"], "sink", 1, nonce=0))
+    wire["payload"]["amount"] = 1.5
+    with pytest.raises(InvalidTxError):
+        tcp_net["client"].call(tcp_net["addrs"][0], "ctl.submit_tx", {"tx": wire})
 
 
 def test_fresh_node_joins_mid_chain_and_crash_rejoins(tcp_net):

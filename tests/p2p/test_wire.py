@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chain.blocks import build_block, make_genesis
 from repro.chain.state import StateDB
 from repro.chain.transactions import make_transfer
+from repro.common.signatures import KeyPair
 from repro.common.errors import ValidationError
 from repro.common.serialize import canonical_bytes
 from repro.p2p.wire import (
@@ -86,3 +89,63 @@ def test_payload_size_is_positive_and_tracks_content():
     small = payload_size({"a": 1})
     big = payload_size({"a": "x" * 1000})
     assert 0 < small < big
+
+
+def test_float_in_wire_payload_is_a_validation_error(alice):
+    wire = tx_to_wire(make_transfer(alice, "sink", 7, nonce=0))
+    wire["payload"]["amount"] = 1.5
+    with pytest.raises(ValidationError):
+        tx_from_wire(wire)
+
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(["0x", "0xzz", "0x" + "ab" * 33, "transfer", "call"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_TX_KEYS = [
+    "sender",
+    "nonce",
+    "kind",
+    "payload",
+    "gas_limit",
+    "max_fee_per_gas",
+    "priority_fee_per_gas",
+    "timestamp_ms",
+    "public_key",
+    "signature",
+]
+_MUTATION = st.tuples(
+    st.sampled_from(["set", "delete", "set_payload", "delete_payload"]),
+    st.sampled_from(_TX_KEYS + ["to", "amount", "extra"]),
+    _JSON,
+)
+_GENUINE = tx_to_wire(make_transfer(KeyPair.generate("wire-fuzz"), "sink", 7, nonce=3))
+
+
+@settings(deadline=None)
+@given(st.lists(_MUTATION, min_size=1, max_size=4))
+def test_mutated_wire_tx_raises_only_validation_error(mutations):
+    wire = dict(_GENUINE, payload=dict(_GENUINE["payload"]))
+    for action, key, value in mutations:
+        payload = wire.get("payload")
+        if action == "set":
+            wire[key] = value
+        elif action == "delete":
+            wire.pop(key, None)
+        elif isinstance(payload, dict) and action == "set_payload":
+            payload[key] = value
+        elif isinstance(payload, dict):
+            payload.pop(key, None)
+    try:
+        tx = tx_from_wire(wire)
+        assert len(tx.tx_id) == 64
+        tx.validate()
+    except ValidationError:
+        pass
