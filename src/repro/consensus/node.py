@@ -703,8 +703,9 @@ def make_network_nodes(
 
     ``consensus_factory`` is called once per node unless the engine is
     stateless; passing a single shared engine instance via a lambda is fine.
-    ``shared_executor=True`` shares one compile cache (saves wall-clock in
-    large simulations without affecting determinism).
+    ``shared_executor=True`` shares one executor instance (compiled
+    contracts are cached per process either way; neither affects
+    determinism).
     """
     executor = ContractExecutor() if shared_executor else None
     shared_metrics = metrics or MetricsRegistry()

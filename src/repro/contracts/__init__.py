@@ -20,7 +20,6 @@ from repro.contracts.runtime import (
 from repro.contracts.vm import (
     ContractSource,
     GasMeter,
-    Interpreter,
     compile_contract,
 )
 
@@ -41,6 +40,5 @@ __all__ = [
     "PATIENT_CONSENT_SOURCE",
     "GasMeter",
     "HostBridge",
-    "Interpreter",
     "compile_contract",
 ]

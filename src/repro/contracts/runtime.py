@@ -10,6 +10,7 @@ contracts on chain and moves heavy work off chain.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -26,7 +27,7 @@ from repro.common.hashing import hash_value_hex, sha256_hex
 from repro.common.serialize import canonical_bytes
 from repro.obs.tracer import trace_span
 from repro.contracts import gas as G
-from repro.contracts.vm import ContractSource, GasMeter, Interpreter, compile_contract
+from repro.contracts.vm import ContractSource, GasMeter, compile_contract
 
 META_SLOT = "__meta__"
 STORAGE_PREFIX = "s/"
@@ -196,15 +197,19 @@ class HostBridge:
         return sha256_hex(data)
 
 
-class ContractExecutor:
-    """Full executor: transfers, deployments, and contract calls.
+@functools.lru_cache(maxsize=256)
+def _compile(source: str) -> ContractSource:
+    """``compile_contract``, shared by every executor in the process.
 
-    Compiled contracts are cached by source so repeated calls do not re-parse;
-    the cache is content-addressed, hence safe to share across nodes.
+    Compiling is a pure function of the source and a ``ContractSource``
+    holds no per-call state, so every node a simulation runs in one
+    process shares one parse and one compiled program per contract.
     """
+    return compile_contract(source)
 
-    def __init__(self) -> None:
-        self._compile_cache: Dict[str, ContractSource] = {}
+
+class ContractExecutor:
+    """Full executor: transfers, deployments, and contract calls."""
 
     # -- Executor protocol ------------------------------------------------
     def apply(
@@ -278,7 +283,7 @@ class ContractExecutor:
                 error="out of gas during deployment",
             )
         try:
-            compiled = self._compile(source)
+            compiled = _compile(source)
         except ContractError as exc:
             return Receipt(
                 tx_id=tx.tx_id, success=False, gas_used=gas_used, error=str(exc)
@@ -310,9 +315,7 @@ class ContractExecutor:
                 bridge = HostBridge(
                     state, contract_id, tx.sender, context, meter, events
                 )
-                Interpreter(compiled, bridge.functions(), meter).call(
-                    "init", dict(init_args)
-                )
+                compiled.call("init", dict(init_args), bridge.functions(), meter)
                 state.commit()
             except (ContractError, OutOfGasError) as exc:
                 state.rollback()
@@ -349,7 +352,7 @@ class ContractExecutor:
                 error=f"unknown contract {contract_id[:12]}",
             )
         try:
-            compiled = self._compile(info.source)
+            compiled = _compile(info.source)
         except ContractError as exc:
             return Receipt(
                 tx_id=tx.tx_id,
@@ -362,9 +365,7 @@ class ContractExecutor:
         state.snapshot()
         try:
             bridge = HostBridge(state, contract_id, tx.sender, context, meter, events)
-            output = Interpreter(compiled, bridge.functions(), meter).call(
-                method, dict(args)
-            )
+            output = compiled.call(method, dict(args), bridge.functions(), meter)
             state.commit()
         except (ContractError, OutOfGasError) as exc:
             state.rollback()
@@ -405,7 +406,7 @@ class ContractExecutor:
         info = self.contract_info(state, contract_id)
         if info is None:
             raise ContractError(f"unknown contract {contract_id[:12]}")
-        compiled = self._compile(info.source)
+        compiled = _compile(info.source)
         meter = GasMeter(gas_limit)
         events: List[ContractEvent] = []
         bridge = HostBridge(
@@ -417,19 +418,9 @@ class ContractExecutor:
             events,
             read_only=True,
         )
-        return Interpreter(compiled, bridge.functions(), meter).call(
-            method, dict(args or {})
-        )
+        return compiled.call(method, dict(args or {}), bridge.functions(), meter)
 
     # -- helpers ----------------------------------------------------------
-    def _compile(self, source: str) -> ContractSource:
-        key = sha256_hex(source.encode("utf-8"))
-        cached = self._compile_cache.get(key)
-        if cached is None:
-            cached = compile_contract(source)
-            self._compile_cache[key] = cached
-        return cached
-
     @staticmethod
     def contract_info(state: StateDB, contract_id: str) -> Optional[ContractInfo]:
         data = state.get(state.contract_key(contract_id, META_SLOT))

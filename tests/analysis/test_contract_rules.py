@@ -21,6 +21,7 @@ from repro.analysis.findings import Severity
 from repro.analysis.registry import all_rules
 from repro.common.errors import ContractError
 from repro.contracts import library
+from repro.contracts.runtime import HOST_FUNCTION_NAMES
 from repro.contracts.vm import compile_contract
 
 REPO_ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", ".."))
@@ -234,6 +235,12 @@ SUBSET_CASES = {
         True,
     ),
     "syntax-error": ("def f(:\n", True),
+    "loops-nested-too-deep": (
+        "def f():\n"
+        + "".join(f"{'    ' * (i + 1)}while False:\n" for i in range(13))
+        + "    " * 14 + "pass\n",
+        True,
+    ),
     # Inside the subset.
     "plain-fstring": ('def f(name):\n    return f"hi {name}"\n', False),
     "literal-constants": (
@@ -266,7 +273,8 @@ class TestVmAgreement:
     def test_vm_and_gate_agree(self, name):
         source, rejected = SUBSET_CASES[name]
         try:
-            compile_contract(source)
+            # Whatever the VM accepts must also lower to Python.
+            compile_contract(source).program(HOST_FUNCTION_NAMES)
             vm_rejects = False
         except ContractError:
             vm_rejects = True
@@ -278,7 +286,7 @@ class TestVmAgreement:
 
     @pytest.mark.parametrize("source", _embedded_contracts())
     def test_embedded_contracts_inside_subset(self, source):
-        compile_contract(source)
+        compile_contract(source).program(HOST_FUNCTION_NAMES)
         findings = analyze_contract_source(source, taint=False)
         assert not [f.render() for f in findings if f.code in SUBSET_CODES]
 

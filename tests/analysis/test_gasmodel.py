@@ -13,7 +13,7 @@ from repro.analysis.gasmodel import (
 )
 from repro.contracts import gas as G
 from repro.contracts import library
-from repro.contracts.vm import GasMeter, Interpreter, compile_contract
+from repro.contracts.vm import GasMeter, compile_contract
 
 
 def estimate(source):
@@ -25,10 +25,10 @@ def estimate(source):
 
 
 def metered_run(source, method, args=None, hosts=None):
+    """Run ``method`` on the compiled path consensus executes."""
     contract = compile_contract(source)
     meter = GasMeter(100_000_000)
-    interpreter = Interpreter(contract, hosts or {}, meter)
-    result = interpreter.call(method, args or {})
+    result = contract.call(method, args or {}, hosts or {}, meter)
     return result, meter
 
 

@@ -107,6 +107,30 @@ class TestContractsOnChain:
         commit(kernel, nodes, call)
         assert all(names == ["Incremented"] for names in seen.values())
 
+    def test_chain_keeps_producing_blocks_past_a_faulting_call(self, alice):
+        """A contract whose code raises a Python error yields a failed
+        receipt on every node; it must not stop block production."""
+        kernel, __, ___, nodes = build_network(3, funder=alice)
+        source = COUNTER_SOURCE + "\ndef bad():\n    return 1 < 'a'\n"
+        deploy = make_deploy(alice, "counter", source, nonce=0)
+        nodes["n0"].submit_tx(deploy)
+        commit(kernel, nodes, deploy)
+        contract_id = nodes["n0"].receipt(deploy.tx_id).output
+        bad = make_call(alice, contract_id, "bad", nonce=1)
+        nodes["n1"].submit_tx(bad)
+        commit(kernel, nodes, bad)
+        height = nodes["n0"].head.header.height
+        good = make_call(alice, contract_id, "increment", {"by": 3}, nonce=2)
+        nodes["n2"].submit_tx(good)
+        commit(kernel, nodes, good)
+        for node in nodes.values():
+            receipt = node.receipt(bad.tx_id)
+            assert not receipt.success and receipt.error.startswith("TypeError")
+            assert node.receipt(good.tx_id).success
+            assert node.head.header.height > height
+            assert node.call_view(contract_id, "get") == 3
+        assert len({node.state.state_root() for node in nodes.values()}) == 1
+
 
 class TestDuplicatedWork:
     def test_every_node_burns_the_same_gas(self, alice):

@@ -2,12 +2,15 @@
 
 import pytest
 
+from oracle import Interpreter
 from repro.chain.executor import ExecutionContext
 from repro.chain.state import StateDB
 from repro.chain.transactions import make_call, make_deploy
 from repro.common.errors import ContractError
+from repro.contracts import gas as G
 from repro.contracts.library import COUNTER_SOURCE
-from repro.contracts.runtime import ContractExecutor
+from repro.contracts.runtime import ContractExecutor, HostBridge
+from repro.contracts.vm import GasMeter, compile_contract
 
 
 @pytest.fixture()
@@ -162,6 +165,70 @@ class TestCall:
         # Host call receives a float through args -> _check_value rejects.
         call = make_call(alice, contract_id, "f", {"x": 1}, nonce=1)
         assert executor.apply(state, call, ctx).success
+
+
+#: Constructs whose Python error used to escape ``ContractExecutor.apply``.
+FAULTS = {
+    "order-mixed-types": "x = 1 < 'a'",
+    "negate-string": "x = -'a'",
+    "in-int": "x = 1 in 5",
+    "tuple-item-assign": "t = (1, 2)\n    t[0] = 5",
+    "unpack-int": "a, b = 5",
+    "augassign-missing-key": "d = {}\n    d['k'] += 1",
+    "list-assign-out-of-range": "a = [0]\n    a[3] = 0",
+    "unhashable-dict-key": "x = {[1]: 2}",
+    "iterate-int": "for x in 5:\n        pass",
+    "huge-repeat": "x = [0] * 10 ** 20",
+    "float-storage-write": "storage_set('k', [2 ** -1])",
+}
+
+
+class TestContractFaults:
+    """Every failure inside contract code is a failed receipt, never a crash."""
+
+    @pytest.mark.parametrize("name", sorted(FAULTS))
+    def test_fault_becomes_failed_receipt(self, env, alice, name):
+        state, executor, ctx = env
+        source = (
+            "def init():\n    storage_set('v', 1)\n"
+            "def get():\n    return storage_get('v')\n"
+            f"def f():\n    storage_set('v', 2)\n    {FAULTS[name]}\n    return 0\n"
+        )
+        contract_id = executor.apply(
+            state, make_deploy(alice, "faulty", source, nonce=0), ctx
+        ).output
+        journal_depth = len(state._journal)
+        receipt = executor.apply(state, make_call(alice, contract_id, "f", nonce=1), ctx)
+        assert not receipt.success
+        # The oracle fails at the same operation with the same text and gas.
+        meter = GasMeter(1_000_000 - G.GAS_CALL_BASE)
+        bridge = HostBridge(
+            state.fork(), contract_id, alice.address, ctx, meter, []
+        )
+        with pytest.raises(ContractError) as raised:
+            Interpreter(compile_contract(source), bridge.functions(), meter).call("f", {})
+        assert receipt.error == str(raised.value)
+        assert receipt.gas_used == G.GAS_CALL_BASE + meter.used
+        # State rolled back, snapshot closed, nonce consumed.
+        assert len(state._journal) == journal_depth
+        assert executor.execute_view(state, contract_id, "get") == 1
+        assert state.nonce(alice.address) == 2
+
+    def test_fault_in_view_is_a_contract_error(self, env, alice):
+        state, executor, ctx = env
+        source = "def f(x):\n    return 1 < x\n"
+        contract_id = executor.apply(
+            state, make_deploy(alice, "v", source, nonce=0), ctx
+        ).output
+        with pytest.raises(ContractError, match="TypeError"):
+            executor.execute_view(state, contract_id, "f", {"x": "a"})
+
+    def test_fault_in_init_fails_the_deploy(self, env, alice):
+        state, executor, ctx = env
+        source = "def init():\n    a, b = 5\n"
+        receipt = executor.apply(state, make_deploy(alice, "i", source, nonce=0), ctx)
+        assert not receipt.success
+        assert receipt.error.startswith("init failed: TypeError")
 
 
 class TestViews:

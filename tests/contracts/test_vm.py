@@ -1,18 +1,26 @@
-"""MedScript VM tests: compilation, execution, determinism, gas."""
+"""MedScript VM tests: compilation, execution, determinism, gas.
+
+Execution goes through ``ContractSource.call``, the compiled path that
+consensus runs; ``test_vm_differential.py`` holds it to the oracle.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ContractError, OutOfGasError
-from repro.contracts.vm import GasMeter, Interpreter, compile_contract
+from repro.contracts.vm import (
+    MAX_LOOP_NESTING,
+    MAX_NESTING,
+    GasMeter,
+    compile_contract,
+)
 
 
 def run(source, method, args=None, gas=10_000_000, hosts=None):
     contract = compile_contract(source)
     meter = GasMeter(gas)
-    interpreter = Interpreter(contract, hosts or {}, meter)
-    return interpreter.call(method, args or {}), meter
+    return contract.call(method, args or {}, hosts or {}, meter), meter
 
 
 class TestCompilation:
@@ -73,6 +81,27 @@ class TestCompilation:
     def test_syntax_error_wrapped(self):
         with pytest.raises(ContractError):
             compile_contract("def f(:\n")
+
+    def test_loops_nested_past_the_bound_rejected(self):
+        body, indent = "", "    "
+        for level in range(MAX_LOOP_NESTING + 1):
+            body += f"{indent}for i{level} in range(1):\n"
+            indent += "    "
+        with pytest.raises(ContractError, match="loops nested deeper"):
+            compile_contract(f"def f():\n{body}{indent}pass\n")
+
+    def test_expression_nested_past_the_bound_rejected(self):
+        expression = "x if x else " * MAX_NESTING + "0"
+        with pytest.raises(ContractError, match="nesting deeper"):
+            compile_contract(f"def f(x):\n    return {expression}\n")
+
+    def test_long_flat_chains_run(self):
+        source = (
+            "def f(x):\n"
+            f"    return [{' and '.join(['x'] * 2000)}, {' < '.join(['x'] * 2000)}]\n"
+        )
+        result, __ = run(source, "f", {"x": 1})
+        assert result == [1, False]
 
     def test_private_methods_hidden(self):
         compiled = compile_contract(
@@ -234,9 +263,8 @@ class TestGas:
         limit = m10.used + 5 * per_iteration + per_iteration // 2
         contract = compile_contract(source)
         meter = GasMeter(limit)
-        interpreter = Interpreter(contract, {}, meter)
         with pytest.raises(OutOfGasError):
-            interpreter.call("f", {"n": 1000})
+            contract.call("f", {"n": 1000}, {}, meter)
         # The failing charge is recorded and the budget is fully spent.
         assert meter.used > meter.limit
         assert meter.remaining == 0
