@@ -23,9 +23,11 @@ serial order:
 3. **Speculate.**  Each wave's transactions execute concurrently on a
    ``repro.parallel`` backend, each against its own recording overlay forked
    from the wave-base state (which already contains every earlier wave's
-   commits).  The *process* backend ships each worker a pruned snapshot
-   covering exactly the transaction's derived footprint, which is what makes
-   shipping state affordable.  Overlays record every key actually read.
+   commits).  The *process* backend ships, per transaction, a pruned
+   snapshot covering exactly its derived footprint, which is what makes
+   shipping state affordable; a wave goes out as one batch per worker, and
+   a batch that fails re-executes all its transactions serially.  Overlays
+   record every key actually read.
 
 4. **Validate and commit, in canonical order.**  A speculative result
    commits only if its *observed* reads are disjoint from the writes
@@ -46,7 +48,7 @@ pulls in ``repro.analysis`` → ``repro.contracts``, which themselves import
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.rwsets import MethodRWSet, read_write_sets
@@ -280,23 +282,24 @@ def _speculate(
 
 # Per-process executor instances for the process backend, keyed by executor
 # class (shipped by reference, so it must be constructible with no
-# arguments).  Reusing one instance keeps the worker's compile cache warm
-# across tasks and blocks.
+# arguments).
 _WORKER_EXECUTORS: Dict[type, Executor] = {}
 
 
 def _speculate_remote(
     executor_cls: type,
-    tx: Transaction,
-    snapshot: Dict[str, Any],
+    batch: Sequence[Tuple[Transaction, Dict[str, Any]]],
     context: ExecutionContext,
-) -> _SpecOutcome:
-    """Process-backend task: rebuild a pruned state and speculate on it."""
+) -> List[_SpecOutcome]:
+    """Process-backend task: speculate each ``(tx, pruned snapshot)`` pair."""
     executor = _WORKER_EXECUTORS.get(executor_cls)
     if executor is None:
         executor = executor_cls()
         _WORKER_EXECUTORS[executor_cls] = executor
-    return _speculate(executor, StateDB(snapshot), tx, context)
+    return [
+        _speculate(executor, StateDB(snapshot), tx, context)
+        for tx, snapshot in batch
+    ]
 
 
 def _build_snapshot(
@@ -551,25 +554,7 @@ class BlockScheduler:
         context: ExecutionContext,
         shipped: Dict[int, Tuple[FrozenSet[str], FrozenSet[str]]],
     ) -> Dict[int, Any]:
-        tasks: List[TaskSpec] = []
-        if self.backend == "process":
-            for index in wave:
-                access = accesses[index]
-                snapshot, universe = _build_snapshot(state, access)
-                shipped[index] = (universe, access.read_prefixes)
-                tasks.append(
-                    TaskSpec(
-                        key=transactions[index].tx_id,
-                        fn=_speculate_remote,
-                        args=(
-                            type(self.executor),
-                            transactions[index],
-                            snapshot,
-                            context,
-                        ),
-                    )
-                )
-        else:
+        if self.backend != "process":
             tasks = [
                 TaskSpec(
                     key=transactions[index].tx_id,
@@ -578,8 +563,31 @@ class BlockScheduler:
                 )
                 for index in wave
             ]
-        results = self._pool.map_tasks(tasks)
-        return dict(zip(wave, results))
+            return dict(zip(wave, self._pool.map_tasks(tasks)))
+        # One task per worker, not per transaction: a round trip to a worker
+        # costs about as much as executing a small call.
+        batch = []
+        for index in wave:
+            access = accesses[index]
+            snapshot, universe = _build_snapshot(state, access)
+            shipped[index] = (universe, access.read_prefixes)
+            batch.append((transactions[index], snapshot))
+        size = -(-len(wave) // self._pool.max_workers)
+        starts = range(0, len(wave), size)
+        tasks = [
+            TaskSpec(
+                key=transactions[wave[start]].tx_id,
+                fn=_speculate_remote,
+                args=(type(self.executor), batch[start:start + size], context),
+            )
+            for start in starts
+        ]
+        outcomes: Dict[int, Any] = {}
+        for start, result in zip(starts, self._pool.map_tasks(tasks)):
+            failed = isinstance(result, TaskFailure)
+            for offset, index in enumerate(wave[start:start + size]):
+                outcomes[index] = result if failed else result[offset]
+        return outcomes
 
     @staticmethod
     def _check_ordering(

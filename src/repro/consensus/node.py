@@ -697,17 +697,12 @@ def make_network_nodes(
     consensus_factory: Callable[[], ConsensusEngine],
     metrics: Optional[MetricsRegistry] = None,
     config: Optional[NodeConfig] = None,
-    shared_executor: bool = False,
 ) -> Dict[str, BlockchainNode]:
     """Build one node per name on a shared network and genesis.
 
     ``consensus_factory`` is called once per node unless the engine is
     stateless; passing a single shared engine instance via a lambda is fine.
-    ``shared_executor=True`` shares one executor instance (compiled
-    contracts are cached per process either way; neither affects
-    determinism).
     """
-    executor = ContractExecutor() if shared_executor else None
     shared_metrics = metrics or MetricsRegistry()
     nodes = {}
     for name in names:
@@ -718,7 +713,7 @@ def make_network_nodes(
             genesis=genesis,
             genesis_state=genesis_state,
             consensus=consensus_factory(),
-            executor=executor or ContractExecutor(),
+            executor=ContractExecutor(),
             metrics=shared_metrics,
             config=config,
         )

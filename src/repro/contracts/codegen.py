@@ -20,8 +20,7 @@ read unchecked) carry a float check; the oracle's other checks can never
 fire and are not emitted.
 
 The front end (subset, validation, :class:`~repro.contracts.vm.ContractSource`)
-is ``repro.contracts.vm``; it imports this module on the first call of a
-contract, so a process that never runs one never loads the compiler.
+is ``repro.contracts.vm``, which imports this module after its own names.
 """
 
 from __future__ import annotations
@@ -117,7 +116,8 @@ class _Execution:
         return result
 
     def call(self, func: Any, args: Tuple[Any, ...], kwargs: Dict[str, Any]) -> Any:
-        """A call whose callee is only known at run time."""
+        """Every call in compiled code: a contract function through
+        :meth:`invoke`, a host function or builtin directly."""
         if isinstance(func, ast.FunctionDef):
             bound = dict(kwargs)
             bound.update(zip([a.arg for a in func.args.args], args))
@@ -170,7 +170,6 @@ _RUNTIME: Dict[str, Any] = {
     "_oog": _out_of_gas,
     "_arith": _arithmetic_error,
     "_suberr": _subscript_error,
-    "_callerr": _call_error,
     "_cv": _check_value,
     "_type": type,
     "_FC": frozenset(_INEXACT),
@@ -736,9 +735,8 @@ class _FunctionCodegen:
             if fallback is None:
                 self.raise_if(is_unbound, _raise(f"undefined name {name!r}"))
             else:
-                self.emit(
-                    ast.If(test=is_unbound, body=[_set(value.id, _load(fallback + name))], orelse=[])
-                )
+                fall_back = _set(value.id, _load(fallback + name))
+                self.emit(ast.If(test=is_unbound, body=[fall_back], orelse=[]))
             return value
         prefix = self.module.kind(name)
         if prefix is None:
@@ -897,16 +895,8 @@ class _FunctionCodegen:
 
     # -- calls ---------------------------------------------------------------
     def expr_Call(self, node: ast.Call) -> ast.expr:
-        func = node.func
-        static = isinstance(func, ast.Name) and func.id not in self.locals
-        prefix = self.module.kind(func.id) if static else None
-        if prefix in ("h_", "b_"):
-            self.pending.append(G.GAS_EXPRESSION)
-            return self.call_native(prefix + func.id, node, sync=prefix == "h_")
-        if prefix == "f_" and not node.keywords:
-            self.pending.append(G.GAS_EXPRESSION)
-            return self.call_contract(self.module.contract.functions[func.id], node.args)
-        callee = self.expr(func)
+        """Every call goes through ``_x.call``, which charges and binds it."""
+        callee = self.expr(node.func)
         args = [self.expr(arg) for arg in node.args]
         kwargs = [(kw.arg, self.expr(kw.value)) for kw in node.keywords]
         self.flush()
@@ -926,55 +916,4 @@ class _FunctionCodegen:
             )
         )
         self.sync_in()
-        return result
-
-    def call_native(self, func: str, node: ast.Call, sync: bool) -> ast.expr:
-        """A host or pure builtin called by name: charge, call, map errors."""
-        args = [self.expr(arg) for arg in node.args]
-        keywords = [ast.keyword(arg=kw.arg, value=self.expr(kw.value)) for kw in node.keywords]
-        self.pending.append(G.GAS_CALL)
-        self.flush()
-        # A builtin can reach the meter only through a callable keyword
-        # argument (``sorted(xs, key=storage_get)``); hosts always can.
-        sync = sync or bool(keywords)
-        if sync:
-            self.sync_out()
-        result = self.temp()
-        self.emit(
-            _try(
-                [_set(result, ast.Call(func=_load(func), args=args, keywords=keywords))],
-                ("_TE", "_VE", "_KE", "_IE"),
-                "_callerr",
-            )
-        )
-        if sync:
-            self.sync_in()
-        self.check_exact(_load(result))
-        return _load(result)
-
-    def call_contract(self, callee: ast.FunctionDef, arg_nodes: List[ast.expr]) -> ast.expr:
-        """A contract function called by name with positional arguments."""
-        args = [self.expr(arg) for arg in arg_nodes]
-        depth = _attr("_x", "depth", ast.Store())
-        self.emit(ast.AugAssign(target=depth, op=ast.Add(), value=ast.Constant(1)))
-        self.raise_if(
-            _compare(_attr("_x", "depth", ast.Load()), ast.Gt(), ast.Constant(G.MAX_CALL_DEPTH)),
-            _raise("max call depth exceeded"),
-        )
-        self.pending.append(G.GAS_CALL)
-        params, defaults = _signature(callee)
-        # Extra positional arguments are dropped, as the oracle's zip does.
-        values = args[: len(params)]
-        rest = params[len(values):]
-        missing = [p for p in rest if p not in defaults]
-        if missing:
-            self.flush()
-            self.emit(_raise(f"{callee.name}: missing arguments {missing}"))
-            return ast.Constant(None)
-        values += [_value_node(defaults[p]) for p in rest]
-        self.flush()
-        self.sync_out()
-        result = self.into_temp(_call("k_" + callee.name, *values))
-        self.sync_in()
-        self.emit(ast.AugAssign(target=_attr("_x", "depth", ast.Store()), op=ast.Sub(), value=ast.Constant(1)))
         return result

@@ -21,7 +21,7 @@ computation codes" framing.
 
 The subset is defined once, here: :data:`MEDSCRIPT_NODES` is the positive
 whitelist of node types, and :func:`scan_contract` checks a parsed module
-against it.  Both consumers read the same stream of :class:`Violation`\ s:
+against it.  Both consumers read the same stream of :class:`Violation`\\ s:
 :func:`compile_contract` raises on the first one, and the
 MED002/MED003/MED009 rules of ``repro.analysis`` report all of them, so the
 deploy gate rejects exactly what the VM rejects.
@@ -135,13 +135,11 @@ class ContractSource:
     def methods(self) -> List[str]:
         return sorted(name for name in self.functions if not name.startswith("_"))
 
-    def program(self, host_names: Iterable[str]) -> Any:
-        """The compiled form (``codegen.Program``) for these host names."""
+    def program(self, host_names: Iterable[str]) -> Program:
+        """The compiled form of this contract for these host names."""
         key = frozenset(host_names)
         program = self._programs.get(key)
         if program is None:
-            from repro.contracts.codegen import Program
-
             program = self._programs[key] = Program(self, key)
         return program
 
@@ -156,7 +154,8 @@ class ContractSource:
 
         Every failure is a :class:`ContractError` (:class:`OutOfGasError`
         when gas runs out), raised with ``meter.used`` at the gas spent up
-        to the failing operation.
+        to the failing operation, except the :data:`NODE_FAULTS`, which
+        propagate unchanged.
         """
         func = self.functions.get(method)
         if func is None or method.startswith("_"):
@@ -166,7 +165,7 @@ class ContractSource:
             try:
                 program = self.program(host_functions)
                 return program.run(func, args, host_functions, meter)
-            except ContractError:
+            except (ContractError, *NODE_FAULTS):
                 raise
             except Exception as exc:
                 raise contract_fault(exc) from exc
@@ -365,11 +364,28 @@ def _literal(node: ast.AST) -> Any:
     return _check_value(value)
 
 
+#: Errors that depend on the node rather than on the contract: whether
+#: ``"a" * 10 ** 10`` runs out of memory, or a deeply nested value runs out
+#: of stack, differs between validators (and between the proposer, the
+#: importer and a scheduler thread).  Turning one into a failed receipt
+#: would fork the state root without an error, so they propagate and stop
+#: the node instead.
+NODE_FAULTS = (MemoryError, RecursionError)
+
+
 def contract_fault(exc: Exception) -> ContractError:
     """The :class:`ContractError` for a Python error raised by contract code.
 
     Operations the subset does not wrap (``1 < "a"``, ``for x in 5``,
     ``t[0] = 5`` on a tuple, ...) raise plain Python errors; every one of
-    them is a failed call, never a crashed node.
+    them is a failed call, never a crashed node.  :data:`NODE_FAULTS` are
+    the exception: callers re-raise them instead.
     """
     return ContractError(f"{type(exc).__name__}: {exc}")
+
+
+# The back end reads the names above, so it is imported last.  Importing it
+# with the front end rather than on a contract's first call matters for
+# memory: parsing codegen.py from source peaks at about 1.5 MB, which the
+# heap reuses during start-up but keeps as extra RSS once a node is running.
+from repro.contracts.codegen import Program  # noqa: E402

@@ -5,6 +5,8 @@ derivation precision, `BlockScheduler.execute_block` produces a state root
 and receipt list bit-identical to the serial fork-and-apply loop.
 """
 
+import os
+
 import pytest
 
 from repro.chain import scheduler as scheduler_mod
@@ -53,6 +55,17 @@ def audit():
 '''
 
 CTX = ExecutionContext(block_height=7, timestamp_ms=1234, node_name="test")
+
+_TEST_PID = os.getpid()
+
+
+class _FailsInWorkers(ContractExecutor):
+    """Raises in every pool worker process; applies normally in this one."""
+
+    def apply(self, state, tx, context):
+        if os.getpid() != _TEST_PID:
+            raise RuntimeError("worker fault")
+        return super().apply(state, tx, context)
 
 SENDERS = [KeyPair.generate(f"sched-sender-{i}") for i in range(16)]
 
@@ -278,6 +291,29 @@ class TestEquivalence:
         assert root == serial_root
         assert receipts == serial_receipts
         assert stats["txs_parallel_committed"] == 6
+
+    def test_failed_process_batch_reruns_serially(self, ledger):
+        # Six txs go out as two batches; each fails in its worker, so every
+        # tx of both batches re-executes at its commit point.
+        state, cid = ledger
+        txs = [
+            make_call(
+                SENDERS[i], cid, "credit",
+                {"user": f"u{i}", "amount": 2}, nonce=0,
+            )
+            for i in range(6)
+        ]
+        serial_root, serial_receipts = serial_reference(state, txs)
+        with BlockScheduler(
+            _FailsInWorkers(), backend="process", max_workers=2
+        ) as scheduler:
+            overlay, receipts = scheduler.execute_block(state, txs, CTX)
+            root = overlay.state_root()
+            overlay.discard()
+        assert root == serial_root
+        assert receipts == serial_receipts
+        assert scheduler.stats["serial_fallbacks"] == 6
+        assert scheduler.stats["txs_parallel_committed"] == 0
 
     def test_conflict_heavy_block_bit_identical(self, ledger):
         # 100% write-write conflicts: every tx hits the same slot.

@@ -22,6 +22,7 @@ from repro.contracts import gas as G
 from repro.contracts.vm import (
     _PURE_BUILTINS,
     ContractSource,
+    NODE_FAULTS,
     GasMeter,
     _check_value,
     _literal,
@@ -89,7 +90,7 @@ class Interpreter:
         self._constants = copy.deepcopy(self.contract.constants)
         try:
             return self._invoke(func, args)
-        except ContractError:
+        except (ContractError, *NODE_FAULTS):
             raise
         except Exception as exc:
             raise contract_fault(exc) from exc

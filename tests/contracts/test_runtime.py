@@ -223,6 +223,22 @@ class TestContractFaults:
         with pytest.raises(ContractError, match="TypeError"):
             executor.execute_view(state, contract_id, "f", {"x": "a"})
 
+    @pytest.mark.parametrize("error", [MemoryError, RecursionError])
+    @pytest.mark.parametrize("runner", ["compiled", "oracle"])
+    def test_node_dependent_error_propagates(self, error, runner):
+        # Whether these are raised depends on the node's memory and stack,
+        # so a receipt made from one would differ between validators.
+        def boom():
+            raise error("node limit")
+
+        contract = compile_contract("def f():\n    return boom()\n")
+        hosts, meter = {"boom": boom}, GasMeter(1_000)
+        with pytest.raises(error):
+            if runner == "compiled":
+                contract.call("f", {}, hosts, meter)
+            else:
+                Interpreter(contract, hosts, meter).call("f", {})
+
     def test_fault_in_init_fails_the_deploy(self, env, alice):
         state, executor, ctx = env
         source = "def init():\n    a, b = 5\n"
